@@ -1,6 +1,7 @@
 #include "faults/degradation.hh"
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace pcmscrub {
 
@@ -26,6 +27,20 @@ degradationStageName(DegradationStage stage)
         panic("bad degradation stage %u",
               static_cast<unsigned>(stage));
     }
+}
+
+void
+DegradationConfig::addToFingerprint(Fingerprint &fp) const
+{
+    fp.u64(enabled ? 1 : 0);
+    fp.u64(maxRetries);
+    fp.f64(retryMarginWiden);
+    fp.f64(retryResolveProb);
+    fp.u64(ecpRepair ? 1 : 0);
+    fp.u64(spareLines);
+    fp.u64(slcFallback ? 1 : 0);
+    fp.u64(pprSpareRows);
+    fp.u64(pprUeThreshold);
 }
 
 } // namespace pcmscrub

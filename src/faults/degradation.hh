@@ -37,6 +37,8 @@
 
 namespace pcmscrub {
 
+class Fingerprint;
+
 /** Ladder rung that disposed of an uncorrectable line. */
 enum class DegradationStage : unsigned {
     None,        //!< No UE, or the ladder is disabled.
@@ -97,6 +99,9 @@ struct DegradationConfig
 
     /** Demote chronically failing lines to SLC as the last resort. */
     bool slcFallback = false;
+
+    /** Mix every field into a checkpoint fingerprint. */
+    void addToFingerprint(Fingerprint &fp) const;
 };
 
 } // namespace pcmscrub

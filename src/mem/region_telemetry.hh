@@ -80,6 +80,7 @@ class RegionTelemetry
     std::uint64_t lineCount() const { return lines_; }
     std::uint64_t linesPerRegion() const { return linesPerRegion_; }
     std::uint64_t regionCount() const { return regions_; }
+    std::size_t shardCount() const { return shards_; }
 
     /** Region containing a line. */
     std::uint64_t regionOf(LineIndex line) const

@@ -27,24 +27,19 @@ averageIterationsPerCell(const DeviceConfig &config)
 } // namespace
 
 AnalyticBackend::AnalyticBackend(const AnalyticConfig &config)
-    : config_(config),
+    : ShardedBackend(config.lines, config.shards, config.seed,
+                     config.device, config.degradation),
+      config_(config),
       scheme_(config.scheme),
       drift_(config.device),
       wear_(config.device),
       demand_(config.demand, config.lines),
-      plan_(config.lines, config.shards),
       cellsPerLine_(static_cast<unsigned>(
           (512 + config.scheme.checkBits() + bitsPerCell - 1) /
           bitsPerCell)),
       avgIterationsPerCell_(averageIterationsPerCell(config.device)),
       lines_(config.lines),
-      spares_(config.degradation.enabled
-                  ? config.degradation.spareLines
-                  : 0),
-      ppr_(config.degradation.enabled
-               ? config.degradation.pprSpareRows
-               : 0,
-           config.degradation.pprUeThreshold)
+      transients_(plan_.count())
 {
     PCMSCRUB_ASSERT(config.lines >= 1, "backend needs lines");
     PCMSCRUB_ASSERT(config.weakCellsTracked < cellsPerLine_,
@@ -53,14 +48,6 @@ AnalyticBackend::AnalyticBackend(const AnalyticConfig &config)
     detector_ = makeDetector(config.detectorKind,
                              512 + config.scheme.checkBits(),
                              config.detectorParity, bitsPerCell);
-
-    // One independent counter-based RNG stream per shard: every draw
-    // for a line comes from its shard's stream, so outcomes depend
-    // only on (seed, shard, within-shard op order) — never on the
-    // thread count interleaving the shards.
-    shards_.resize(plan_.count());
-    for (std::size_t shard = 0; shard < plan_.count(); ++shard)
-        shards_[shard].rng = Random::stream(config.seed, shard);
 
     const unsigned k = config_.weakCellsTracked;
     bulkQuantile_ = 1.0 -
@@ -95,47 +82,6 @@ AnalyticBackend::sampleWeakSpeeds(LineIndex line)
         cell.level =
             static_cast<std::uint8_t>(rng.uniformInt(mlcLevels));
     }
-}
-
-void
-AnalyticBackend::setFaultInjector(FaultInjector *injector)
-{
-    injector_ = injector;
-    if (injector_ != nullptr)
-        injector_->shardStreams(plan_.count());
-}
-
-void
-AnalyticBackend::setTelemetry(RegionTelemetry *telemetry)
-{
-    if (telemetry != nullptr) {
-        PCMSCRUB_ASSERT(
-            telemetry->lineCount() == lines_.size(),
-            "telemetry tracks %llu lines but the backend has %llu",
-            static_cast<unsigned long long>(telemetry->lineCount()),
-            static_cast<unsigned long long>(lines_.size()));
-    }
-    telemetry_ = telemetry;
-}
-
-const ScrubMetrics &
-AnalyticBackend::metrics() const
-{
-    merged_ = ScrubMetrics{};
-    for (const ShardState &shard : shards_)
-        merged_.merge(shard.metrics);
-    // The spare pool is shared across shards; the merged gauge is
-    // its live level, not a per-shard sum.
-    merged_.sparesRemaining = spares_.remaining();
-    merged_.pprSparesRemaining = ppr_.remaining();
-    return merged_;
-}
-
-ScrubMetrics &
-AnalyticBackend::metrics()
-{
-    const AnalyticBackend *self = this;
-    return const_cast<ScrubMetrics &>(self->metrics());
 }
 
 AnalyticBackend::~AnalyticBackend() = default;
@@ -197,7 +143,7 @@ AnalyticBackend::applyWear(LineIndex line, LineState &state,
         const unsigned frozen = std::min(
             injector_->sampleStuckCells(
                 count, wear_.failureCdf(state.writes),
-                plan_.shardOf(line)),
+                shardOf(line)),
             alive);
         state.stuckCells = static_cast<std::uint16_t>(
             state.stuckCells + frozen);
@@ -334,9 +280,8 @@ AnalyticBackend::piggybackReads(LineIndex line, Tick gap_start,
         return;
 
     // The read-path decode saw enough errors: refresh immediately.
-    const EnergyModel energy(config_.device);
     ScrubMetrics &metrics = metricsFor(line);
-    const double writePj = energy.lineWrite(static_cast<std::uint64_t>(
+    const double writePj = energy_.lineWrite(static_cast<std::uint64_t>(
         std::llround(cellsPerLine_ * avgIterationsPerCell_)));
     metrics.energy.add(EnergyCategory::ArrayWrite, writePj);
     ++metrics.scrubRewrites;
@@ -344,7 +289,7 @@ AnalyticBackend::piggybackReads(LineIndex line, Tick gap_start,
     const std::uint64_t corrected = state.driftErrors + weakErrors(line);
     metrics.correctedErrors += corrected;
     if (telemetry_ != nullptr) {
-        telemetry_->onScrubWrite(plan_.shardOf(line), line, corrected,
+        telemetry_->onScrubWrite(shardOf(line), line, corrected,
                                  writePj);
     }
     applyWear(line, state, 1.0);
@@ -420,21 +365,6 @@ AnalyticBackend::sampleUncorrectable(LineIndex line)
     return state.uePlaced;
 }
 
-void
-AnalyticBackend::chargeArrayRead(LineIndex line, Tick now)
-{
-    ShardState &shard = shards_[plan_.shardOf(line)];
-    if (shard.chargedLine == line && shard.chargedTick == now)
-        return;
-    shard.chargedLine = line;
-    shard.chargedTick = now;
-    const EnergyModel energy(config_.device);
-    const double pj = energy.lineRead(cellsPerLine_);
-    shard.metrics.energy.add(EnergyCategory::ArrayRead, pj);
-    if (telemetry_ != nullptr)
-        telemetry_->onEnergy(plan_.shardOf(line), line, pj);
-}
-
 Tick
 AnalyticBackend::lastFullWrite(LineIndex line, Tick now)
 {
@@ -443,7 +373,7 @@ AnalyticBackend::lastFullWrite(LineIndex line, Tick now)
     // A corrupted metadata entry feeds the policy a bogus drift age;
     // the modelled line itself is untouched.
     if (injector_ != nullptr)
-        injector_->corruptLastWrite(tick, now, plan_.shardOf(line));
+        injector_->corruptLastWrite(tick, now, shardOf(line));
     return tick;
 }
 
@@ -452,14 +382,13 @@ AnalyticBackend::transientErrors(LineIndex line, Tick now)
 {
     if (injector_ == nullptr)
         return 0;
-    ShardState &shard = shards_[plan_.shardOf(line)];
-    if (shard.transientLine != line || shard.transientTick != now) {
-        shard.transientLine = line;
-        shard.transientTick = now;
-        shard.transientNow =
-            injector_->sampleReadDisturb(plan_.shardOf(line));
+    TransientCache &cache = transients_[shardOf(line)];
+    if (cache.line != line || cache.tick != now) {
+        cache.line = line;
+        cache.tick = now;
+        cache.flips = injector_->sampleReadDisturb(shardOf(line));
     }
-    return shard.transientNow;
+    return cache.flips;
 }
 
 bool
@@ -468,9 +397,8 @@ AnalyticBackend::lightDetectClean(LineIndex line, Tick now)
     materialize(line, now);
     growDrift(line, now);
     chargeArrayRead(line, now);
-    const EnergyModel energy(config_.device);
     ScrubMetrics &metrics = metricsFor(line);
-    metrics.energy.add(EnergyCategory::Detect, energy.lightDetect());
+    metrics.energy.add(EnergyCategory::Detect, energy_.lightDetect());
     ++metrics.lightDetects;
 
     const unsigned errors = totalErrors(line) +
@@ -525,24 +453,10 @@ AnalyticBackend::fullDecode(LineIndex line, Tick now)
         // whatever the ladder manages afterwards.
         chargeDemandExposure(line, lines_[line],
                              ageSeconds(lines_[line], now));
-        outcome.handledBy = config_.degradation.enabled
-            ? escalate(line, now)
-            : DegradationStage::HostVisible;
-        if (telemetry_ != nullptr) {
-            telemetry_->onUncorrectable(plan_.shardOf(line), line,
-                                        outcome.handledBy);
-        }
-        if (outcome.handledBy == DegradationStage::HostVisible) {
-            outcome.uncorrectable = true;
-            ++metricsFor(line).scrubUncorrectable;
-            ++metricsFor(line).ueSurfaced;
-        } else {
-            // A ladder stage absorbed the failure and left the line
-            // freshly rewritten; nothing remains for the caller.
-            outcome.errors = 0;
-        }
-    } else if (outcome.errors > 0 && injector_ != nullptr &&
-               injector_->sampleMiscorrection(plan_.shardOf(line))) {
+        return settleUncorrectable(line, now, outcome.errors);
+    }
+    if (outcome.errors > 0 && injector_ != nullptr &&
+        injector_->sampleMiscorrection(shardOf(line))) {
         // Injected decoder fault: the "successful" correction in
         // fact settled on a wrong codeword.
         ++metricsFor(line).miscorrections;
@@ -550,127 +464,68 @@ AnalyticBackend::fullDecode(LineIndex line, Tick now)
     return outcome;
 }
 
-DegradationStage
-AnalyticBackend::escalate(LineIndex line, Tick now)
+void
+AnalyticBackend::ladderRefresh(LineIndex line, Tick now, bool new_data)
 {
-    const DegradationConfig &deg = config_.degradation;
+    const double pj = energy_.lineWrite(static_cast<std::uint64_t>(
+        std::llround(cellsPerLine_ * avgIterationsPerCell_)));
+    metricsFor(line).energy.add(EnergyCategory::ArrayWrite, pj);
+    if (telemetry_ != nullptr)
+        telemetry_->onEnergy(shardOf(line), line, pj);
+    applyWear(line, lines_[line], 1.0);
+    resetAfterWrite(line, now, new_data);
+}
+
+bool
+AnalyticBackend::retryRead(LineIndex line, Tick now, unsigned attempt)
+{
+    (void)attempt;
+    // The widened references recover drifted cells with some
+    // probability. Stuck cells are immune, so a line whose stuck
+    // errors alone defeat the code cannot be retried back to health.
+    const LineState &state = lines_[line];
+    const bool transientOnly = !state.uePlaced;
+    const bool recovered = transientOnly ||
+        (state.stuckErrors <= scheme_.guaranteedT() &&
+         rngFor(line).bernoulli(config_.degradation.retryResolveProb));
+    if (recovered)
+        ladderRefresh(line, now, /*new_data=*/false);
+    return recovered;
+}
+
+bool
+AnalyticBackend::relearnEcp(LineIndex line, Tick now)
+{
+    if (config_.ecpEntries == 0)
+        return false;
+    // Re-point the ECP budget (n/2 stuck cells) at the cells that
+    // conflict now.
     LineState &state = lines_[line];
-    const EnergyModel energy(config_.device);
-    ScrubMetrics &metrics = metricsFor(line);
-    const unsigned t = scheme_.guaranteedT();
+    const unsigned covered = config_.ecpEntries / 2;
+    const unsigned remaining = state.stuckErrors > covered
+        ? state.stuckErrors - covered : 0;
+    ladderRefresh(line, now, /*new_data=*/false);
+    state.stuckErrors = static_cast<std::uint16_t>(remaining);
+    return remaining <= scheme_.guaranteedT();
+}
 
-    // Ladder-internal refresh: a full write that is not a scrub
-    // rewrite (the policy never asked for it).
-    const auto refresh = [&](bool new_data) {
-        const double pj = energy.lineWrite(static_cast<std::uint64_t>(
-            std::llround(cellsPerLine_ * avgIterationsPerCell_)));
-        metrics.energy.add(EnergyCategory::ArrayWrite, pj);
-        if (telemetry_ != nullptr)
-            telemetry_->onEnergy(plan_.shardOf(line), line, pj);
-        applyWear(line, state, 1.0);
-        resetAfterWrite(line, now, new_data);
-    };
+void
+AnalyticBackend::moveToFreshSilicon(LineIndex line, Tick now)
+{
+    LineState &state = lines_[line];
+    state.stuckCells = 0;
+    state.stuckErrors = 0;
+    state.writes = 0.0;
+    sampleWeakSpeeds(line); // New row, new drift tail.
+    ladderRefresh(line, now, /*new_data=*/true);
+}
 
-    // Stage 1: bounded widened-margin re-reads. A re-read sheds the
-    // visit's transient flips outright; the widened references
-    // additionally recover drifted cells with some probability.
-    // Stuck cells are immune, so a line whose stuck errors alone
-    // defeat the code cannot be retried back to health.
-    for (unsigned attempt = 1; attempt <= deg.maxRetries; ++attempt) {
-        ++metrics.ueRetries;
-        metrics.energy.add(EnergyCategory::MarginRead,
-                           energy.marginReadExtra(cellsPerLine_));
-        const bool transientOnly = !state.uePlaced;
-        const bool recovered = transientOnly ||
-            (state.stuckErrors <= t &&
-             rngFor(line).bernoulli(deg.retryResolveProb));
-        if (recovered) {
-            ++metrics.ueRetryResolved;
-            refresh(/*new_data=*/false);
-            return DegradationStage::Retry;
-        }
-    }
-
-    // Stage 2: full write-verify pass re-pointing the ECP budget at
-    // the currently-conflicting stuck cells.
-    if (deg.ecpRepair && config_.ecpEntries > 0) {
-        const unsigned covered = config_.ecpEntries / 2;
-        const unsigned remaining = state.stuckErrors > covered
-            ? state.stuckErrors - covered : 0;
-        refresh(/*new_data=*/false);
-        state.stuckErrors = static_cast<std::uint16_t>(remaining);
-        if (remaining <= t) {
-            ++metrics.ueEcpRepaired;
-            return DegradationStage::EcpRepair;
-        }
-    }
-
-    // Stage 3: post-package repair — permanently fuse a chronically
-    // failing address over to a dedicated spare row. The fuse is
-    // one-shot per address and the rows are scarce, so only lines
-    // with a repeat-offender UE history qualify; a line felled by a
-    // one-off event falls through without burning a row.
-    if (deg.pprSpareRows > 0) {
-        ppr_.noteUncorrectable(line);
-        if (ppr_.qualifies(line) && ppr_.remap(line)) {
-            ++metrics.uePprRemapped;
-            warn_once("PPR-remapping line %llu to a spare row "
-                      "(%llu rows left)",
-                      static_cast<unsigned long long>(line),
-                      static_cast<unsigned long long>(ppr_.remaining()));
-            state.stuckCells = 0;
-            state.stuckErrors = 0;
-            state.writes = 0.0;
-            sampleWeakSpeeds(line); // New row, new drift tail.
-            refresh(/*new_data=*/true);
-            return DegradationStage::PprRemap;
-        }
-        if (ppr_.exhausted()) {
-            warn_once("PPR spare rows exhausted after %llu remaps; "
-                      "chronic lines now fall through to retirement",
-                      static_cast<unsigned long long>(
-                          ppr_.remappedCount()));
-        }
-    }
-
-    // Stage 4: retire the line into the spare-remap pool; the
-    // address now resolves to fresh spare silicon.
-    if (spares_.retire(line)) {
-        ++metrics.ueRetired;
-        metrics.capacityLostBits += lineBits();
-        warn_once("retiring line %llu to a spare (%llu spares left)",
-                  static_cast<unsigned long long>(line),
-                  static_cast<unsigned long long>(spares_.remaining()));
-        state.stuckCells = 0;
-        state.stuckErrors = 0;
-        state.writes = 0.0;
-        sampleWeakSpeeds(line); // New row, new drift tail.
-        refresh(/*new_data=*/true);
-        return DegradationStage::Retire;
-    }
-    if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted after %llu retirements; "
-                  "failing lines now fall through to SLC/host",
-                  static_cast<unsigned long long>(
-                      spares_.retiredCount()));
-    }
-
-    // Stage 5: drop the line to SLC — drift-immune, half density.
-    if (deg.slcFallback && !state.slc) {
-        state.slc = true;
-        ++metrics.ueSlcFallbacks;
-        metrics.capacityLostBits += lineBits();
-        warn_once("line %llu fell back to SLC operation "
-                  "(density halved)",
-                  static_cast<unsigned long long>(line));
-        refresh(/*new_data=*/true);
-        if (state.stuckErrors <= t)
-            return DegradationStage::SlcFallback;
-    }
-
-    warn_once("uncorrectable error on line %llu surfaced to the host",
-              static_cast<unsigned long long>(line));
-    return DegradationStage::HostVisible;
+bool
+AnalyticBackend::demoteSlc(LineIndex line, Tick now)
+{
+    lines_[line].slc = true;
+    ladderRefresh(line, now, /*new_data=*/true);
+    return lines_[line].stuckErrors <= scheme_.guaranteedT();
 }
 
 unsigned
@@ -679,10 +534,9 @@ AnalyticBackend::marginScan(LineIndex line, Tick now)
     materialize(line, now);
     growDrift(line, now);
     chargeArrayRead(line, now);
-    const EnergyModel energy(config_.device);
     ScrubMetrics &metrics = metricsFor(line);
     metrics.energy.add(EnergyCategory::MarginRead,
-                       energy.marginReadExtra(cellsPerLine_));
+                       energy_.marginReadExtra(cellsPerLine_));
     ++metrics.marginScans;
 
     const LineState &state = lines_[line];
@@ -709,9 +563,8 @@ AnalyticBackend::scrubRewrite(LineIndex line, Tick now, bool preventive)
     growDrift(line, now);
     LineState &state = lines_[line];
 
-    const EnergyModel energy(config_.device);
     ScrubMetrics &metrics = metricsFor(line);
-    const double writePj = energy.lineWrite(static_cast<std::uint64_t>(
+    const double writePj = energy_.lineWrite(static_cast<std::uint64_t>(
         std::llround(cellsPerLine_ * avgIterationsPerCell_)));
     metrics.energy.add(EnergyCategory::ArrayWrite, writePj);
     ++metrics.scrubRewrites;
@@ -720,7 +573,7 @@ AnalyticBackend::scrubRewrite(LineIndex line, Tick now, bool preventive)
     const std::uint64_t corrected = state.driftErrors + weakErrors(line);
     metrics.correctedErrors += corrected;
     if (telemetry_ != nullptr) {
-        telemetry_->onScrubWrite(plan_.shardOf(line), line, corrected,
+        telemetry_->onScrubWrite(shardOf(line), line, corrected,
                                  writePj);
     }
 
@@ -735,26 +588,16 @@ AnalyticBackend::repairUncorrectable(LineIndex line, Tick now)
 {
     materialize(line, now);
     LineState &state = lines_[line];
-    const EnergyModel energy(config_.device);
-    const double writePj = energy.lineWrite(static_cast<std::uint64_t>(
+    const double writePj = energy_.lineWrite(static_cast<std::uint64_t>(
         std::llround(cellsPerLine_ * avgIterationsPerCell_)));
     metricsFor(line).energy.add(EnergyCategory::ArrayWrite, writePj);
     if (telemetry_ != nullptr)
-        telemetry_->onEnergy(plan_.shardOf(line), line, writePj);
+        telemetry_->onEnergy(shardOf(line), line, writePj);
     applyWear(line, state, 1.0);
     // Recovery remaps conflicting stuck cells to spares and reloads
     // the data, so the line starts clean.
     state.stuckErrors = 0;
     resetAfterWrite(line, now, /*new_data=*/false);
-}
-
-void
-AnalyticBackend::noteVisit(LineIndex line, Tick now)
-{
-    PCMSCRUB_ASSERT(line < lines_.size(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    (void)now;
-    ++metricsFor(line).linesChecked;
 }
 
 unsigned
@@ -802,27 +645,17 @@ AnalyticBackend::checkpointSave(SnapshotSink &sink) const
         sink.boolean(cell.crossed);
     }
 
-    sink.u64(shards_.size());
-    for (const ShardState &shard : shards_) {
-        saveRandom(sink, shard.rng);
-        shard.metrics.saveState(sink);
-        sink.u64(shard.chargedLine);
-        sink.u64(shard.chargedTick);
-        sink.u64(shard.transientLine);
-        sink.u64(shard.transientTick);
-        sink.u32(shard.transientNow);
-    }
+    saveShardedState(sink);
+}
 
-    spares_.saveState(sink);
-    ppr_.saveState(sink);
-
-    sink.boolean(injector_ != nullptr);
-    if (injector_ != nullptr)
-        injector_->saveState(sink);
-
-    sink.boolean(telemetry_ != nullptr);
-    if (telemetry_ != nullptr)
-        telemetry_->saveState(sink);
+void
+AnalyticBackend::saveShardExtras(SnapshotSink &sink,
+                                 std::size_t shard) const
+{
+    const TransientCache &cache = transients_[shard];
+    sink.u64(cache.line);
+    sink.u64(cache.tick);
+    sink.u32(cache.flips);
 }
 
 void
@@ -867,42 +700,17 @@ AnalyticBackend::checkpointLoad(SnapshotSource &source)
         cell.crossed = source.boolean();
     }
 
-    if (source.u64() != shards_.size())
-        source.corrupt("shard count does not match the shard plan");
-    for (ShardState &shard : shards_) {
-        loadRandom(source, shard.rng);
-        shard.metrics.loadState(source);
-        shard.chargedLine = source.u64();
-        shard.chargedTick = source.u64();
-        shard.transientLine = source.u64();
-        shard.transientTick = source.u64();
-        shard.transientNow = source.u32();
-    }
+    loadShardedState(source);
+}
 
-    spares_.loadState(source);
-    ppr_.loadState(source);
-
-    const bool hadInjector = source.boolean();
-    if (hadInjector != (injector_ != nullptr)) {
-        source.corrupt(hadInjector
-                           ? "snapshot has fault-injector state but "
-                             "none is attached"
-                           : "a fault injector is attached but the "
-                             "snapshot has no injector state");
-    }
-    if (injector_ != nullptr)
-        injector_->loadState(source);
-
-    const bool hadTelemetry = source.boolean();
-    if (hadTelemetry != (telemetry_ != nullptr)) {
-        source.corrupt(hadTelemetry
-                           ? "snapshot has telemetry state but no "
-                             "telemetry sink is attached"
-                           : "a telemetry sink is attached but the "
-                             "snapshot has no telemetry state");
-    }
-    if (telemetry_ != nullptr)
-        telemetry_->loadState(source);
+void
+AnalyticBackend::loadShardExtras(SnapshotSource &source,
+                                 std::size_t shard)
+{
+    TransientCache &cache = transients_[shard];
+    cache.line = source.u64();
+    cache.tick = source.u64();
+    cache.flips = source.u32();
 }
 
 std::uint64_t
@@ -926,15 +734,7 @@ AnalyticBackend::checkpointFingerprint() const
     fp.f64(config_.demand.zipfTheta);
     fp.f64(config_.demand.hotFraction);
     fp.f64(config_.demand.hotMultiplier);
-    fp.u64(config_.degradation.enabled ? 1 : 0);
-    fp.u64(config_.degradation.maxRetries);
-    fp.f64(config_.degradation.retryMarginWiden);
-    fp.f64(config_.degradation.retryResolveProb);
-    fp.u64(config_.degradation.ecpRepair ? 1 : 0);
-    fp.u64(config_.degradation.spareLines);
-    fp.u64(config_.degradation.slcFallback ? 1 : 0);
-    fp.u64(config_.degradation.pprSpareRows);
-    fp.u64(config_.degradation.pprUeThreshold);
+    config_.degradation.addToFingerprint(fp);
     config_.device.addToFingerprint(fp);
     return fp.value();
 }

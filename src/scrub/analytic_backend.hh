@@ -30,15 +30,11 @@
 
 #include <vector>
 
-#include "common/random.hh"
-#include "common/shard.hh"
 #include "ecc/detector.hh"
-#include "mem/metadata.hh"
-#include "mem/ppr.hh"
 #include "mem/region_telemetry.hh"
 #include "pcm/wear.hh"
-#include "scrub/backend.hh"
 #include "scrub/demand_model.hh"
+#include "scrub/sharded_backend.hh"
 
 namespace pcmscrub {
 
@@ -114,7 +110,7 @@ struct AnalyticConfig
 /**
  * ScrubBackend implementation over closed-form physics.
  */
-class AnalyticBackend : public ScrubBackend
+class AnalyticBackend : public ShardedBackend
 {
   public:
     explicit AnalyticBackend(const AnalyticConfig &config);
@@ -126,7 +122,6 @@ class AnalyticBackend : public ScrubBackend
     unsigned cellsPerLine() const override { return cellsPerLine_; }
     const EccScheme &scheme() const override { return scheme_; }
     const DriftModel &drift() const override { return drift_; }
-    ShardPlan shardPlan() const override { return plan_; }
 
     Tick lastFullWrite(LineIndex line, Tick now) override;
     bool lightDetectClean(LineIndex line, Tick now) override;
@@ -136,19 +131,6 @@ class AnalyticBackend : public ScrubBackend
     void scrubRewrite(LineIndex line, Tick now,
                       bool preventive = false) override;
     void repairUncorrectable(LineIndex line, Tick now) override;
-    void noteVisit(LineIndex line, Tick now) override;
-    void setFaultInjector(FaultInjector *injector) override;
-    void setTelemetry(RegionTelemetry *telemetry) override;
-    const SparePool *spares() const override { return &spares_; }
-    PprRemapTable *ppr() override { return &ppr_; }
-
-    /**
-     * Per-shard metric slices merged in ascending shard order — the
-     * fixed reduction order that makes even the floating-point sums
-     * bit-identical at any thread count.
-     */
-    const ScrubMetrics &metrics() const override;
-    ScrubMetrics &metrics() override;
 
     // Checkpointing -------------------------------------------------
 
@@ -166,12 +148,6 @@ class AnalyticBackend : public ScrubBackend
 
     /** Cumulative writes a line has absorbed. */
     double lineWrites(LineIndex line) const;
-
-    /** Retirement spare pool (empty unless the ladder provisions it). */
-    const SparePool &sparePool() const { return spares_; }
-
-    /** PPR remap table (empty unless the ladder provisions it). */
-    const PprRemapTable &pprTable() const { return ppr_; }
 
     const AnalyticConfig &config() const { return config_; }
 
@@ -225,21 +201,6 @@ class AnalyticBackend : public ScrubBackend
     /** Reset weak-cell write state (level resample on new data). */
     void resetWeakCells(LineIndex line, bool new_data);
 
-    /** RNG stream of the shard owning a line. */
-    Random &rngFor(LineIndex line)
-    {
-        return shards_[plan_.shardOf(line)].rng;
-    }
-
-    /** Metrics slice of the shard owning a line. */
-    ScrubMetrics &metricsFor(LineIndex line)
-    {
-        return shards_[plan_.shardOf(line)].metrics;
-    }
-
-    /** Charge the per-visit array read exactly once. */
-    void chargeArrayRead(LineIndex line, Tick now);
-
     /** Consistent uncorrectable decision as errors accumulate. */
     bool sampleUncorrectable(LineIndex line);
 
@@ -269,38 +230,42 @@ class AnalyticBackend : public ScrubBackend
      */
     unsigned transientErrors(LineIndex line, Tick now);
 
-    /**
-     * Analytic degradation ladder over a line whose decode failed;
-     * mirrors CellBackend::escalate() in expectation. A failure not
-     * pinned on persistent errors (uePlaced) was transient-driven
-     * and resolves on the first plain re-read.
-     */
-    DegradationStage escalate(LineIndex line, Tick now);
+    /** Full write the ladder issues (not a scrub rewrite). */
+    void ladderRefresh(LineIndex line, Tick now, bool new_data);
+
+    // Ladder rungs, in expectation. A failure not pinned on
+    // persistent errors (uePlaced) was transient-driven and resolves
+    // on the first plain re-read.
+    bool retryRead(LineIndex line, Tick now, unsigned attempt) override;
+    bool relearnEcp(LineIndex line, Tick now) override;
+    void moveToFreshSilicon(LineIndex line, Tick now) override;
+    bool inSlc(LineIndex line) const override
+    {
+        return lines_[line].slc;
+    }
+    bool demoteSlc(LineIndex line, Tick now) override;
 
     /** Data+check bits a line stores (capacity accounting). */
-    std::uint64_t lineBits() const
+    std::uint64_t lineBits() const override
     {
         return static_cast<std::uint64_t>(cellsPerLine_) * bitsPerCell;
     }
 
+    void saveShardExtras(SnapshotSink &sink,
+                         std::size_t shard) const override;
+    void loadShardExtras(SnapshotSource &source,
+                         std::size_t shard) override;
+
     /**
-     * State owned by one shard: its RNG stream, metrics slice, and
-     * the per-visit caches (which are keyed by (line, tick) and must
-     * not be shared across concurrently-running shards).
+     * Per-visit injected transient flips of one shard (keyed by
+     * (line, tick); must not be shared across concurrently-running
+     * shards).
      */
-    struct ShardState
+    struct TransientCache
     {
-        Random rng;
-        ScrubMetrics metrics;
-
-        /** Array-read charge dedup (line, tick of last charge). */
-        LineIndex chargedLine = ~LineIndex{0};
-        Tick chargedTick = ~Tick{0};
-
-        /** Per-visit injected transient flips. */
-        LineIndex transientLine = ~LineIndex{0};
-        Tick transientTick = ~Tick{0};
-        unsigned transientNow = 0;
+        LineIndex line = ~LineIndex{0};
+        Tick tick = ~Tick{0};
+        unsigned flips = 0;
     };
 
     AnalyticConfig config_;
@@ -309,18 +274,12 @@ class AnalyticBackend : public ScrubBackend
     WearModel wear_;
     DemandModel demand_;
     std::unique_ptr<Detector> detector_;
-    ShardPlan plan_;
     unsigned cellsPerLine_;
     double avgIterationsPerCell_;
     double bulkQuantile_;
     std::vector<LineState> lines_;
     std::vector<WeakCell> weakCells_; //!< lines x weakCellsTracked.
-    std::vector<ShardState> shards_;
-    mutable ScrubMetrics merged_; //!< Rebuilt on each metrics() call.
-    SparePool spares_;
-    PprRemapTable ppr_;
-    FaultInjector *injector_ = nullptr;    //!< Not owned.
-    RegionTelemetry *telemetry_ = nullptr; //!< Not owned.
+    std::vector<TransientCache> transients_; //!< One per shard.
 };
 
 } // namespace pcmscrub

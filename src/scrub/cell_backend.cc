@@ -21,29 +21,20 @@ CellBackend::buildCode(const EccScheme &scheme)
 }
 
 CellBackend::CellBackend(const CellBackendConfig &config)
-    : config_(config),
+    : ShardedBackend(config.lines, config.shards, config.seed,
+                     config.device, config.degradation),
+      config_(config),
       scheme_(config.scheme),
       drift_(config.device),
       code_(buildCode(config.scheme)),
       detector_(makeDetector(config.detectorKind,
                              code_->codewordBits(),
                              config.detectorParity, bitsPerCell)),
-      energyModel_(config.device),
       array_(config.lines, code_->codewordBits(), config.device,
              config.seed),
-      plan_(config.lines, config.shards),
-      wear_(config.device),
-      spares_(config.degradation.enabled
-                  ? config.degradation.spareLines
-                  : 0),
-      ppr_(config.degradation.enabled
-               ? config.degradation.pprSpareRows
-               : 0,
-           config.degradation.pprUeThreshold)
+      visits_(plan_.count()),
+      wear_(config.device)
 {
-    shards_.resize(plan_.count());
-    for (std::size_t shard = 0; shard < plan_.count(); ++shard)
-        shards_[shard].rng = Random::stream(config.seed, shard);
     lazy_.resize(config.lines);
     calendars_.resize(plan_.count());
     if (config.ecpEntries > 0) {
@@ -92,7 +83,13 @@ CellBackend::lineCount() const
 unsigned
 CellBackend::cellsPerLine() const
 {
-    return array_.line(0).cellCount();
+    // The nominal MLC width, not line 0's live cell count: when line 0
+    // drops to SLC its count doubles, and that must not change every
+    // line's read energy or the adaptive policy's horizons from then
+    // on — nor be read by other shards while line 0's owner shard is
+    // demoting it.
+    return static_cast<unsigned>(
+        (code_->codewordBits() + bitsPerCell - 1) / bitsPerCell);
 }
 
 BitVector
@@ -105,30 +102,16 @@ CellBackend::senseRaw(LineIndex line, Tick now) const
     return word;
 }
 
-void
-CellBackend::chargeArrayRead(LineIndex line, Tick now)
-{
-    ShardState &shard = shardFor(line);
-    if (shard.chargedLine != line || shard.chargedTick != now) {
-        shard.chargedLine = line;
-        shard.chargedTick = now;
-        const double pj = energyModel_.lineRead(cellsPerLine());
-        shard.metrics.energy.add(EnergyCategory::ArrayRead, pj);
-        if (telemetry_ != nullptr)
-            telemetry_->onEnergy(plan_.shardOf(line), line, pj);
-    }
-}
-
 const BitVector &
 CellBackend::readLine(LineIndex line, Tick now)
 {
-    ShardState &shard = shardFor(line);
+    VisitBuffer &visit = visits_[shardOf(line)];
     chargeArrayRead(line, now);
     // Buffer the sensed word per (line, tick): injected transient
     // flips must look identical to every gate of the same visit.
-    if (shard.bufferedLine != line || shard.bufferedTick != now) {
-        shard.bufferedLine = line;
-        shard.bufferedTick = now;
+    if (visit.line != line || visit.tick != now) {
+        visit.line = line;
+        visit.tick = now;
         if (lazyVisitClean(line, now)) {
             // The line provably still senses its intended codeword,
             // so skip the per-cell physics and hand back the stored
@@ -136,15 +119,14 @@ CellBackend::readLine(LineIndex line, Tick now)
             // is off whenever read faults are live) and draws no RNG
             // at zero rates, so the buffer bytes and random streams
             // match the exact path exactly.
-            array_.line(line).copyIntendedWord(shard.buffered);
+            array_.line(line).copyIntendedWord(visit.word);
         } else {
-            shard.buffered = senseRaw(line, now);
+            visit.word = senseRaw(line, now);
             if (injector_ != nullptr)
-                injector_->corruptWord(shard.buffered,
-                                       plan_.shardOf(line));
+                injector_->corruptWord(visit.word, shardOf(line));
         }
     }
-    return shard.buffered;
+    return visit.word;
 }
 
 bool
@@ -191,7 +173,7 @@ CellBackend::updateLazyLine(LineIndex line)
 {
     if (!config_.lazyDrift)
         return;
-    DriftCalendar &calendar = calendars_[plan_.shardOf(line)];
+    DriftCalendar &calendar = calendars_[shardOf(line)];
     if (!calendar.validFor(lazyEpoch_))
         return; // Stale shard: the next visit rebuilds it wholesale.
     calendar.remove(lazy_[line]);
@@ -262,7 +244,7 @@ CellBackend::lazyVisitClean(LineIndex line, Tick now)
 {
     if (!fastPathOn())
         return false;
-    const std::size_t shard = plan_.shardOf(line);
+    const std::size_t shard = shardOf(line);
     DriftCalendar &calendar = calendars_[shard];
     if (!calendar.validFor(lazyEpoch_))
         refreshLazyShard(shard);
@@ -319,22 +301,22 @@ void
 CellBackend::programLine(LineIndex line, const BitVector &word,
                          Tick now, bool scrub_energy)
 {
-    ShardState &shard = shardFor(line);
+    ShardCore &shard = coreFor(line);
     Line &physical = array_.line(line);
     const LineProgramStats stats = physical.writeCodeword(
         word, now, array_.model(), shard.rng);
     if (scrub_energy) {
-        const double pj = energyModel_.lineWrite(stats.totalIterations);
+        const double pj = energy_.lineWrite(stats.totalIterations);
         shard.metrics.energy.add(EnergyCategory::ArrayWrite, pj);
         if (telemetry_ != nullptr)
-            telemetry_->onEnergy(plan_.shardOf(line), line, pj);
+            telemetry_->onEnergy(shardOf(line), line, pj);
     }
     shard.metrics.cellsWornOut += stats.cellsWornOut;
     // Injected wear-correlated hard faults strike at program time,
     // before write-verify: rebuildEcp below then discovers them the
     // same way it discovers organic endurance failures.
     if (injector_ != nullptr) {
-        const std::size_t shardId = plan_.shardOf(line);
+        const std::size_t shardId = shardOf(line);
         const unsigned frozen = injector_->sampleStuckCells(
             1.0, wear_.failureCdf(
                      static_cast<double>(physical.lineWrites())),
@@ -348,8 +330,8 @@ CellBackend::programLine(LineIndex line, const BitVector &word,
     // moment the cells change: a re-read after a mid-visit reprogram
     // is a fresh sensing pass and must charge again even at the same
     // tick.
-    shard.bufferedLine = ~LineIndex{0};
-    shard.chargedLine = ~LineIndex{0};
+    visits_[shardOf(line)].line = ~LineIndex{0};
+    forgetArrayRead(line);
     updateLazyLine(line);
 }
 
@@ -366,7 +348,7 @@ CellBackend::lastFullWrite(LineIndex line, Tick now)
     // A corrupted metadata entry feeds the policy a bogus drift age;
     // the physical line is untouched.
     if (injector_ != nullptr)
-        injector_->corruptLastWrite(tick, now, plan_.shardOf(line));
+        injector_->corruptLastWrite(tick, now, shardOf(line));
     return tick;
 }
 
@@ -379,8 +361,7 @@ CellBackend::lightDetectClean(LineIndex line, Tick now)
     const bool lazyClean = lazyVisitClean(line, now);
     const BitVector &read = readLine(line, now);
     ScrubMetrics &metrics = metricsFor(line);
-    metrics.energy.add(EnergyCategory::Detect,
-                       energyModel_.lightDetect());
+    metrics.energy.add(EnergyCategory::Detect, energy_.lightDetect());
     ++metrics.lightDetects;
     if (lazyClean) {
         // read == intended, so the detect words match by
@@ -439,32 +420,14 @@ CellBackend::fullDecode(LineIndex line, Tick now)
             // corruption the scrub cannot see (ground truth can).
             ++metrics.miscorrections;
         } else if (injector_ != nullptr &&
-                   injector_->sampleMiscorrection(
-                       plan_.shardOf(line))) {
+                   injector_->sampleMiscorrection(shardOf(line))) {
             // Injected decoder fault: the hardware reported a clean
             // correction but actually settled on a wrong codeword.
             ++metrics.miscorrections;
         }
         break;
       case DecodeStatus::Uncorrectable:
-        outcome.errors = trueErrors(line, now);
-        outcome.handledBy = config_.degradation.enabled
-            ? escalate(line, now)
-            : DegradationStage::HostVisible;
-        if (telemetry_ != nullptr) {
-            telemetry_->onUncorrectable(plan_.shardOf(line), line,
-                                        outcome.handledBy);
-        }
-        if (outcome.handledBy == DegradationStage::HostVisible) {
-            outcome.uncorrectable = true;
-            ++metrics.scrubUncorrectable;
-            ++metrics.ueSurfaced;
-        } else {
-            // A ladder stage absorbed the failure and left the line
-            // freshly rewritten; nothing remains for the caller.
-            outcome.errors = 0;
-        }
-        break;
+        return settleUncorrectable(line, now, trueErrors(line, now));
     }
     return outcome;
 }
@@ -476,110 +439,52 @@ CellBackend::decodes(LineIndex line, Tick now)
     return code_->decode(word).status != DecodeStatus::Uncorrectable;
 }
 
-DegradationStage
-CellBackend::escalate(LineIndex line, Tick now)
+bool
+CellBackend::retryRead(LineIndex line, Tick now, unsigned attempt)
 {
-    const DegradationConfig &deg = config_.degradation;
     Line &physical = array_.line(line);
-    ScrubMetrics &metrics = metricsFor(line);
-
-    // Stage 1: bounded re-reads with progressively widened sensing
-    // margins. Drifted cells sit just past a nominal threshold, so
-    // raising the references reclaims them; stuck cells are immune.
-    for (unsigned attempt = 1; attempt <= deg.maxRetries; ++attempt) {
-        ++metrics.ueRetries;
-        metrics.energy.add(
-            EnergyCategory::MarginRead,
-            energyModel_.marginReadExtra(cellsPerLine()));
-        BitVector word = physical.readCodeword(
-            now, array_.model(), deg.retryMarginWiden * attempt);
-        if (!ecp_.empty())
-            ecp_[line].apply(word);
-        if (code_->decode(word).status != DecodeStatus::Uncorrectable) {
-            ++metrics.ueRetryResolved;
-            if (word != physical.intendedWord()) {
-                // The retry "recovered" a wrong codeword; from here
-                // on the controller faithfully preserves bad data.
-                ++metrics.miscorrections;
-            }
-            // Refresh with the recovered word (decode corrected it in
-            // place); this is ladder-internal, not a scrub rewrite.
-            programLine(line, word, now);
-            return DegradationStage::Retry;
-        }
+    BitVector word = physical.readCodeword(
+        now, array_.model(),
+        config_.degradation.retryMarginWiden * attempt);
+    if (!ecp_.empty())
+        ecp_[line].apply(word);
+    if (code_->decode(word).status == DecodeStatus::Uncorrectable)
+        return false;
+    if (word != physical.intendedWord()) {
+        // The retry "recovered" a wrong codeword; from here on the
+        // controller faithfully preserves bad data.
+        ++metricsFor(line).miscorrections;
     }
+    // Refresh with the recovered word (decode corrected it in place);
+    // this is ladder-internal, not a scrub rewrite.
+    programLine(line, word, now);
+    return true;
+}
 
-    // Stage 2: full write-verify pass so ECP re-learns the line's
-    // stuck bits against the intended data.
-    if (deg.ecpRepair && !ecp_.empty()) {
-        programLine(line, physical.intendedWord(), now);
-        if (decodes(line, now)) {
-            ++metrics.ueEcpRepaired;
-            return DegradationStage::EcpRepair;
-        }
-    }
+bool
+CellBackend::relearnEcp(LineIndex line, Tick now)
+{
+    if (ecp_.empty())
+        return false;
+    programLine(line, array_.line(line).intendedWord(), now);
+    return decodes(line, now);
+}
 
-    // Stage 3: post-package repair — permanently fuse a chronically
-    // failing address over to a dedicated spare row. The fuse is
-    // one-shot per address and the rows are scarce, so only lines
-    // with a repeat-offender UE history qualify; a line felled by a
-    // one-off event falls through without burning a row.
-    if (deg.pprSpareRows > 0) {
-        ppr_.noteUncorrectable(line);
-        if (ppr_.qualifies(line) && ppr_.remap(line)) {
-            ++metrics.uePprRemapped;
-            warn_once("PPR-remapping line %llu to a spare row "
-                      "(%llu rows left)",
-                      static_cast<unsigned long long>(line),
-                      static_cast<unsigned long long>(ppr_.remaining()));
-            physical.initialize(array_.model(), rngFor(line));
-            programLine(line, physical.intendedWord(), now);
-            return DegradationStage::PprRemap;
-        }
-        if (ppr_.exhausted()) {
-            warn_once("PPR spare rows exhausted after %llu remaps; "
-                      "chronic lines now fall through to retirement",
-                      static_cast<unsigned long long>(
-                          ppr_.remappedCount()));
-        }
-    }
+void
+CellBackend::moveToFreshSilicon(LineIndex line, Tick now)
+{
+    Line &physical = array_.line(line);
+    physical.initialize(array_.model(), rngFor(line));
+    programLine(line, physical.intendedWord(), now);
+}
 
-    // Stage 4: retire the line into the spare-remap pool. Modelled
-    // as the address now resolving to fresh spare silicon.
-    if (spares_.retire(line)) {
-        ++metrics.ueRetired;
-        metrics.capacityLostBits += physical.codewordBits();
-        warn_once("retiring line %llu to a spare (%llu spares left)",
-                  static_cast<unsigned long long>(line),
-                  static_cast<unsigned long long>(spares_.remaining()));
-        physical.initialize(array_.model(), rngFor(line));
-        programLine(line, physical.intendedWord(), now);
-        return DegradationStage::Retire;
-    }
-    if (deg.spareLines > 0) {
-        warn_once("spare pool exhausted after %llu retirements; "
-                  "failing lines now fall through to SLC/host",
-                  static_cast<unsigned long long>(
-                      spares_.retiredCount()));
-    }
-
-    // Stage 5: drop the line to SLC — extreme levels only, immune to
-    // drift, at half density.
-    if (deg.slcFallback && !physical.slcMode()) {
-        physical.setSlcMode(array_.model(), rngFor(line));
-        ++metrics.ueSlcFallbacks;
-        metrics.capacityLostBits += physical.codewordBits();
-        warn_once("line %llu fell back to SLC operation "
-                  "(density halved)",
-                  static_cast<unsigned long long>(line));
-        programLine(line, physical.intendedWord(), now);
-        if (decodes(line, now))
-            return DegradationStage::SlcFallback;
-    }
-
-    warn_once("uncorrectable error on line %llu surfaced to the host",
-              static_cast<unsigned long long>(line));
-    return DegradationStage::HostVisible;
+bool
+CellBackend::demoteSlc(LineIndex line, Tick now)
+{
+    Line &physical = array_.line(line);
+    physical.setSlcMode(array_.model(), rngFor(line));
+    programLine(line, physical.intendedWord(), now);
+    return decodes(line, now);
 }
 
 unsigned
@@ -588,7 +493,7 @@ CellBackend::marginScan(LineIndex line, Tick now)
     readLine(line, now); // Margin read includes the sensing pass.
     ScrubMetrics &metrics = metricsFor(line);
     metrics.energy.add(EnergyCategory::MarginRead,
-                       energyModel_.marginReadExtra(cellsPerLine()));
+                       energy_.marginReadExtra(cellsPerLine()));
     ++metrics.marginScans;
     return array_.line(line).marginScanCount(now, array_.model());
 }
@@ -607,8 +512,7 @@ CellBackend::scrubRewrite(LineIndex line, Tick now, bool preventive)
     metrics.correctedErrors += corrected;
     if (telemetry_ != nullptr) {
         // Write energy already flowed through programLine's hook.
-        telemetry_->onScrubWrite(plan_.shardOf(line), line, corrected,
-                                 0.0);
+        telemetry_->onScrubWrite(shardOf(line), line, corrected, 0.0);
     }
 }
 
@@ -627,15 +531,6 @@ CellBackend::repairUncorrectable(LineIndex line, Tick now)
 }
 
 void
-CellBackend::noteVisit(LineIndex line, Tick now)
-{
-    PCMSCRUB_ASSERT(line < lineCount(), "line %llu out of range",
-                    static_cast<unsigned long long>(line));
-    (void)now;
-    ++metricsFor(line).linesChecked;
-}
-
-void
 CellBackend::demandWrite(LineIndex line, Tick now)
 {
     BitVector data(code_->dataBits());
@@ -643,45 +538,6 @@ CellBackend::demandWrite(LineIndex line, Tick now)
     programLine(line, code_->encode(data), now,
                 /*scrub_energy=*/false);
     ++metricsFor(line).demandWrites;
-}
-
-void
-CellBackend::setFaultInjector(FaultInjector *injector)
-{
-    injector_ = injector;
-    if (injector_ != nullptr)
-        injector_->shardStreams(plan_.count());
-}
-
-void
-CellBackend::setTelemetry(RegionTelemetry *telemetry)
-{
-    if (telemetry != nullptr) {
-        PCMSCRUB_ASSERT(
-            telemetry->lineCount() == lineCount(),
-            "telemetry tracks %llu lines but the backend has %llu",
-            static_cast<unsigned long long>(telemetry->lineCount()),
-            static_cast<unsigned long long>(lineCount()));
-    }
-    telemetry_ = telemetry;
-}
-
-const ScrubMetrics &
-CellBackend::metrics() const
-{
-    merged_ = ScrubMetrics{};
-    for (const ShardState &shard : shards_)
-        merged_.merge(shard.metrics);
-    merged_.sparesRemaining = spares_.remaining();
-    merged_.pprSparesRemaining = ppr_.remaining();
-    return merged_;
-}
-
-ScrubMetrics &
-CellBackend::metrics()
-{
-    const CellBackend *self = this;
-    return const_cast<ScrubMetrics &>(self->metrics());
 }
 
 unsigned
@@ -703,27 +559,16 @@ CellBackend::checkpointSave(SnapshotSink &sink) const
     for (const auto &store : ecp_)
         store.saveState(sink);
 
-    sink.u64(shards_.size());
-    for (const auto &shard : shards_) {
-        saveRandom(sink, shard.rng);
-        shard.metrics.saveState(sink);
-        sink.u64(shard.chargedLine);
-        sink.u64(shard.chargedTick);
-        sink.bits(shard.buffered);
-        sink.u64(shard.bufferedLine);
-        sink.u64(shard.bufferedTick);
-    }
+    saveShardedState(sink);
+}
 
-    spares_.saveState(sink);
-    ppr_.saveState(sink);
-
-    sink.boolean(injector_ != nullptr);
-    if (injector_ != nullptr)
-        injector_->saveState(sink);
-
-    sink.boolean(telemetry_ != nullptr);
-    if (telemetry_ != nullptr)
-        telemetry_->saveState(sink);
+void
+CellBackend::saveShardExtras(SnapshotSink &sink, std::size_t shard) const
+{
+    const VisitBuffer &visit = visits_[shard];
+    sink.bits(visit.word);
+    sink.u64(visit.line);
+    sink.u64(visit.tick);
 }
 
 void
@@ -736,45 +581,7 @@ CellBackend::checkpointLoad(SnapshotSource &source)
     for (auto &store : ecp_)
         store.loadState(source);
 
-    if (source.u64() != shards_.size())
-        source.corrupt("shard count does not match the shard plan");
-    for (auto &shard : shards_) {
-        loadRandom(source, shard.rng);
-        shard.metrics.loadState(source);
-        shard.chargedLine = source.u64();
-        shard.chargedTick = source.u64();
-        shard.buffered = source.bits();
-        if (!shard.buffered.empty() &&
-            shard.buffered.size() != code_->codewordBits())
-            source.corrupt("buffered visit word has the wrong width");
-        shard.bufferedLine = source.u64();
-        shard.bufferedTick = source.u64();
-    }
-
-    spares_.loadState(source);
-    ppr_.loadState(source);
-
-    const bool hadInjector = source.boolean();
-    if (hadInjector != (injector_ != nullptr)) {
-        source.corrupt(hadInjector
-                           ? "snapshot has fault-injector state but "
-                             "none is attached"
-                           : "a fault injector is attached but the "
-                             "snapshot has no injector state");
-    }
-    if (injector_ != nullptr)
-        injector_->loadState(source);
-
-    const bool hadTelemetry = source.boolean();
-    if (hadTelemetry != (telemetry_ != nullptr)) {
-        source.corrupt(hadTelemetry
-                           ? "snapshot has telemetry state but no "
-                             "telemetry sink is attached"
-                           : "a telemetry sink is attached but the "
-                             "snapshot has no telemetry state");
-    }
-    if (telemetry_ != nullptr)
-        telemetry_->loadState(source);
+    loadShardedState(source);
 
     // Detector reference words are a pure function of the intended
     // codewords, so recompute rather than trust serialized copies.
@@ -785,6 +592,17 @@ CellBackend::checkpointLoad(SnapshotSource &source)
     // Restored cells invalidate every cached crossing tick; the next
     // visit of each shard rebuilds its calendar from the new state.
     ++lazyEpoch_;
+}
+
+void
+CellBackend::loadShardExtras(SnapshotSource &source, std::size_t shard)
+{
+    VisitBuffer &visit = visits_[shard];
+    visit.word = source.bits();
+    if (!visit.word.empty() && visit.word.size() != code_->codewordBits())
+        source.corrupt("buffered visit word has the wrong width");
+    visit.line = source.u64();
+    visit.tick = source.u64();
 }
 
 std::uint64_t
@@ -799,15 +617,7 @@ CellBackend::checkpointFingerprint() const
     fp.u64(config_.ecpEntries);
     fp.u64(config_.seed);
     fp.u64(plan_.count());
-    fp.u64(config_.degradation.enabled ? 1 : 0);
-    fp.u64(config_.degradation.maxRetries);
-    fp.f64(config_.degradation.retryMarginWiden);
-    fp.f64(config_.degradation.retryResolveProb);
-    fp.u64(config_.degradation.ecpRepair ? 1 : 0);
-    fp.u64(config_.degradation.spareLines);
-    fp.u64(config_.degradation.slcFallback ? 1 : 0);
-    fp.u64(config_.degradation.pprSpareRows);
-    fp.u64(config_.degradation.pprUeThreshold);
+    config_.degradation.addToFingerprint(fp);
     config_.device.addToFingerprint(fp);
     return fp.value();
 }

@@ -19,15 +19,12 @@
 #include "ecc/checksum.hh"
 #include "ecc/code.hh"
 #include "ecc/ecp.hh"
-#include "mem/metadata.hh"
-#include "mem/ppr.hh"
 #include "mem/region_telemetry.hh"
 #include "pcm/array.hh"
-#include "pcm/energy.hh"
 #include "pcm/kernels.hh"
 #include "pcm/wear.hh"
-#include "scrub/backend.hh"
 #include "scrub/drift_calendar.hh"
+#include "scrub/sharded_backend.hh"
 
 namespace pcmscrub {
 
@@ -84,7 +81,7 @@ struct CellBackendConfig
 /**
  * ScrubBackend over a CellArray with real encode/decode.
  */
-class CellBackend : public ScrubBackend
+class CellBackend : public ShardedBackend
 {
   public:
     explicit CellBackend(const CellBackendConfig &config);
@@ -95,7 +92,6 @@ class CellBackend : public ScrubBackend
     unsigned cellsPerLine() const override;
     const EccScheme &scheme() const override { return scheme_; }
     const DriftModel &drift() const override { return drift_; }
-    ShardPlan shardPlan() const override { return plan_; }
 
     Tick lastFullWrite(LineIndex line, Tick now) override;
     bool lightDetectClean(LineIndex line, Tick now) override;
@@ -105,19 +101,6 @@ class CellBackend : public ScrubBackend
     void scrubRewrite(LineIndex line, Tick now,
                       bool preventive = false) override;
     void repairUncorrectable(LineIndex line, Tick now) override;
-    void noteVisit(LineIndex line, Tick now) override;
-    void setFaultInjector(FaultInjector *injector) override;
-    void setTelemetry(RegionTelemetry *telemetry) override;
-    const SparePool *spares() const override { return &spares_; }
-    PprRemapTable *ppr() override { return &ppr_; }
-
-    /**
-     * Per-shard metric slices merged in ascending shard order — the
-     * fixed reduction order that makes even the floating-point sums
-     * bit-identical at any thread count.
-     */
-    const ScrubMetrics &metrics() const override;
-    ScrubMetrics &metrics() override;
 
     // Checkpointing -------------------------------------------------
 
@@ -156,16 +139,7 @@ class CellBackend : public ScrubBackend
     /** ECP entries consumed on a line (0 when ECP is off). */
     unsigned ecpUsed(LineIndex line) const;
 
-    /** Retirement spare pool (empty unless the ladder provisions it). */
-    const SparePool &sparePool() const { return spares_; }
-
-    /** PPR remap table (empty unless the ladder provisions it). */
-    const PprRemapTable &pprTable() const { return ppr_; }
-
   private:
-    /** Charge the array-read energy once per (line, tick) visit. */
-    void chargeArrayRead(LineIndex line, Tick now);
-
     /**
      * Sense the line, charging the array read once per visit. The
      * returned reference aliases the shard's visit buffer and is
@@ -193,14 +167,24 @@ class CellBackend : public ScrubBackend
     /** Whether the line currently senses to a decodable word. */
     bool decodes(LineIndex line, Tick now);
 
-    /**
-     * Run the degradation ladder over a line whose decode failed:
-     * widened-margin retries, ECP re-learn, retirement to a spare,
-     * SLC fallback. Returns the stage that absorbed the failure
-     * (HostVisible when none did). Absorbing stages leave the line
-     * freshly rewritten.
-     */
-    DegradationStage escalate(LineIndex line, Tick now);
+    // Ladder rungs over the real cells and codec.
+    bool retryRead(LineIndex line, Tick now, unsigned attempt) override;
+    bool relearnEcp(LineIndex line, Tick now) override;
+    void moveToFreshSilicon(LineIndex line, Tick now) override;
+    bool inSlc(LineIndex line) const override
+    {
+        return array_.line(line).slcMode();
+    }
+    bool demoteSlc(LineIndex line, Tick now) override;
+    std::uint64_t lineBits() const override
+    {
+        return code_->codewordBits();
+    }
+
+    void saveShardExtras(SnapshotSink &sink,
+                         std::size_t shard) const override;
+    void loadShardExtras(SnapshotSource &source,
+                         std::size_t shard) override;
 
     static std::unique_ptr<Code> buildCode(const EccScheme &scheme);
 
@@ -236,62 +220,29 @@ class CellBackend : public ScrubBackend
     void refreshLazyShard(std::size_t shard);
 
     /**
-     * State owned by one shard: its RNG stream, metrics slice, and
-     * the per-visit caches (keyed by (line, tick); they must not be
-     * shared across concurrently-running shards).
+     * Sensed (and possibly fault-corrupted) word of one shard's
+     * current visit: every gate of one (line, tick) visit must see
+     * the same transient flips, so the word is buffered rather than
+     * re-drawn. Invalidated on reprogram; keyed by (line, tick), so
+     * it must not be shared across concurrently-running shards.
      */
-    struct ShardState
+    struct VisitBuffer
     {
-        Random rng;
-        ScrubMetrics metrics;
-
-        /** Array-read charge dedup (line, tick of last charge). */
-        LineIndex chargedLine = ~LineIndex{0};
-        Tick chargedTick = ~Tick{0};
-
-        /**
-         * Sensed (and possibly fault-corrupted) word of the current
-         * visit: every gate of one (line, tick) visit must see the
-         * same transient flips, so the word is buffered rather than
-         * re-drawn. Invalidated on reprogram.
-         */
-        BitVector buffered;
-        LineIndex bufferedLine = ~LineIndex{0};
-        Tick bufferedTick = ~Tick{0};
+        BitVector word;
+        LineIndex line = ~LineIndex{0};
+        Tick tick = ~Tick{0};
     };
-
-    /** Shard owning a line. */
-    ShardState &shardFor(LineIndex line)
-    {
-        return shards_[plan_.shardOf(line)];
-    }
-
-    /** RNG stream of the shard owning a line. */
-    Random &rngFor(LineIndex line) { return shardFor(line).rng; }
-
-    /** Metrics slice of the shard owning a line. */
-    ScrubMetrics &metricsFor(LineIndex line)
-    {
-        return shardFor(line).metrics;
-    }
 
     CellBackendConfig config_;
     EccScheme scheme_;
     DriftModel drift_;
     std::unique_ptr<Code> code_;
     std::unique_ptr<Detector> detector_;
-    EnergyModel energyModel_;
     CellArray array_;
-    ShardPlan plan_;
     std::vector<BitVector> detectWords_;
     std::vector<EcpStore> ecp_; //!< Empty when ECP is off.
-    std::vector<ShardState> shards_;
-    mutable ScrubMetrics merged_; //!< Rebuilt on each metrics() call.
+    std::vector<VisitBuffer> visits_; //!< One per shard.
     WearModel wear_;
-    SparePool spares_;
-    PprRemapTable ppr_;
-    FaultInjector *injector_ = nullptr;    //!< Not owned.
-    RegionTelemetry *telemetry_ = nullptr; //!< Not owned.
 
     /**
      * Lazy-drift cache: per-line crossing state plus one calendar

@@ -328,5 +328,72 @@ TEST(DegradationLadder, RecorderEmitsRetryReadsAndLadderRewrites)
               inner.metrics().ueAbsorbed());
 }
 
+TEST(DegradationLadder, SlcLineThatFailsAgainSurfacesToHost)
+{
+    CellBackendConfig config;
+    config.lines = 1;
+    config.scheme = EccScheme::bch(4);
+    config.ecpEntries = 0; // No ECP, no PPR, no spares: straight to SLC.
+    config.seed = 29;
+    config.degradation.enabled = true;
+    config.degradation.maxRetries = 1;
+    config.degradation.slcFallback = true;
+    CellBackend backend(config);
+
+    // Dead cells defeat the code in MLC and in SLC mode alike.
+    FaultCampaignConfig campaign;
+    campaign.seed = 31;
+    FaultInjector freezer(campaign);
+    freezer.freezeCells(backend.array().line(0), 60);
+
+    const Tick first = secondsToTicks(1.0);
+    EXPECT_EQ(backend.fullDecode(0, first).handledBy,
+              DegradationStage::HostVisible);
+    ASSERT_TRUE(backend.arrayView().line(0).slcMode());
+    const ScrubMetrics before = backend.metrics();
+    EXPECT_EQ(before.ueSlcFallbacks, 1u);
+    EXPECT_EQ(before.capacityLostBits, backend.code().codewordBits());
+
+    // The second failure finds the line already in SLC: the SLC rung
+    // is skipped, so neither the count nor the capacity loss moves.
+    const FullDecodeOutcome again =
+        backend.fullDecode(0, secondsToTicks(2.0));
+    EXPECT_EQ(again.handledBy, DegradationStage::HostVisible);
+    EXPECT_TRUE(again.uncorrectable);
+    const ScrubMetrics &after = backend.metrics();
+    EXPECT_EQ(after.ueSlcFallbacks, before.ueSlcFallbacks);
+    EXPECT_EQ(after.capacityLostBits, before.capacityLostBits);
+    EXPECT_EQ(after.ueSurfaced, 2u);
+    EXPECT_EQ(after.ueRetries, 2u);
+}
+
+TEST(DegradationLadder, SlcDemotionOfLineZeroKeepsCellsPerLine)
+{
+    // cellsPerLine() prices every line's reads and feeds the adaptive
+    // policy's horizons; it is the nominal MLC width, so demoting
+    // line 0 (whose cells double in SLC) must not move it.
+    CellBackendConfig config;
+    config.lines = 4;
+    config.scheme = EccScheme::bch(4);
+    config.ecpEntries = 0;
+    config.seed = 29;
+    config.degradation.enabled = true;
+    config.degradation.maxRetries = 1;
+    config.degradation.slcFallback = true;
+    CellBackend backend(config);
+    const unsigned nominal = backend.cellsPerLine();
+    EXPECT_EQ(nominal, backend.arrayView().line(1).cellCount());
+
+    FaultCampaignConfig campaign;
+    campaign.seed = 31;
+    FaultInjector freezer(campaign);
+    freezer.freezeCells(backend.array().line(0), 60);
+    backend.fullDecode(0, secondsToTicks(1.0));
+    ASSERT_TRUE(backend.arrayView().line(0).slcMode());
+    ASSERT_NE(backend.arrayView().line(0).cellCount(), nominal);
+
+    EXPECT_EQ(backend.cellsPerLine(), nominal);
+}
+
 } // namespace
 } // namespace pcmscrub

@@ -460,5 +460,31 @@ TEST_F(ControllerTest, LadderAbsorbedUesDoNotCountAgainstSlo)
     EXPECT_DOUBLE_EQ(s.ueRate, 0.0);
 }
 
+TEST(RegionTelemetryDeathTest, ShardCountMustMatchThePlan)
+{
+    AnalyticConfig analyticConfig = quietConfig();
+    analyticConfig.shards = 4;
+    AnalyticBackend analytic(analyticConfig);
+    CellBackendConfig cellConfig;
+    cellConfig.lines = 64;
+    cellConfig.shards = 4;
+    CellBackend cell(cellConfig);
+
+    for (ScrubBackend *backend :
+         {static_cast<ScrubBackend *>(&analytic),
+          static_cast<ScrubBackend *>(&cell)}) {
+        // A sink with fewer shards than the plan would index past its
+        // slices on the first event from a high shard.
+        RegionTelemetry fewer(backend->lineCount(), 16, 1);
+        EXPECT_DEATH(backend->setTelemetry(&fewer),
+                     "telemetry has 1 shards but the backend plan has 4");
+
+        RegionTelemetry matching(backend->lineCount(), 16,
+                                 backend->shardPlan().count());
+        backend->setTelemetry(&matching);
+        backend->setTelemetry(nullptr);
+    }
+}
+
 } // namespace
 } // namespace pcmscrub
